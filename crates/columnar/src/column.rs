@@ -55,15 +55,43 @@ impl IndexLike for u32 {
     }
 }
 
-/// Dictionary-encoded string column payload (pandas `category`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
+/// Dictionary column payload: per-row codes into a shared dictionary.
+/// Null rows' codes point at an interned `""` entry, so decoding
+/// reproduces the normalized null-slot sentinel.
+#[derive(Debug, Clone)]
+pub struct DictCol {
     /// Per-row indexes into `dict`.
     pub codes: Vec<u32>,
-    /// The (deduplicated) category values — stored in the same
-    /// arena-backed layout as plain `Utf8` columns and shared across
-    /// derived columns.
+    /// The (deduplicated) values — stored in the same arena-backed
+    /// layout as plain `Utf8` columns and shared across derived columns.
     pub dict: Arc<Utf8Col>,
+    /// Logical dtype only: set for pandas `category` columns
+    /// ([`DType::Categorical`]), clear for transparently encoded strings
+    /// ([`DType::Utf8`]). Kernels never branch on it for layout.
+    pub category: bool,
+}
+
+impl DictCol {
+    /// The same dictionary and flag over new codes.
+    fn with_codes(&self, codes: Vec<u32>) -> DictCol {
+        DictCol {
+            codes,
+            dict: Arc::clone(&self.dict),
+            category: self.category,
+        }
+    }
+
+    /// `(entry, referenced by a valid row?)` for every dictionary entry:
+    /// filters and slices can leave entries that no row uses.
+    fn used_entries(&self, validity: &Option<Bitmap>) -> impl Iterator<Item = (usize, bool)> {
+        let mut used = vec![false; self.dict.len()];
+        for (i, &code) in self.codes.iter().enumerate() {
+            if validity.as_ref().is_none_or(|m| m.get(i)) {
+                used[code as usize] = true;
+            }
+        }
+        used.into_iter().enumerate()
+    }
 }
 
 /// Run-length-encoded column payload: `values` holds one row per
@@ -124,12 +152,15 @@ impl RleCol {
 /// `validity == None` means "no nulls". For `Float64`, `NaN` additionally
 /// counts as null, matching pandas.
 ///
-/// Two variants are *encodings*, not dtypes: [`Column::Dict`] reports
-/// [`DType::Utf8`] and [`Column::Rle`] reports its run values' dtype, so
-/// the planner and schema layers never see them. Kernels either run on
-/// the encoded form directly (the fast paths) or fall back through
-/// [`Column::decode`]. Equality is *logical* across encodings: a `Dict`
-/// column equals the `Utf8` column it decodes to.
+/// Two variants are physical layouts, not dtypes. [`Column::Dict`] is the
+/// one dictionary layout: its [`DictCol::category`] flag makes it report
+/// [`DType::Categorical`] (pandas `category`), otherwise it is a
+/// transparently encoded [`DType::Utf8`] column. [`Column::Rle`] reports
+/// its run values' dtype. Kernels either run on the dictionary or runs
+/// directly (the fast paths) or fall back through [`Column::decode`].
+/// Equality is *logical* across layouts: a `Dict` column equals the
+/// `Utf8` column it decodes to, and two `Dict` columns are equal when
+/// their rows are, whatever their dictionaries.
 ///
 /// ```
 /// use lafp_columnar::{Column, Scalar};
@@ -153,24 +184,22 @@ pub enum Column {
     Utf8(Utf8Col, Option<Bitmap>),
     /// Epoch-second timestamps.
     Datetime(Vec<i64>, Option<Bitmap>),
-    /// Dictionary-encoded strings (codes into an arena-backed dict).
-    Categorical(Categorical, Option<Bitmap>),
-    /// Dictionary-*encoded* strings: same payload as `Categorical`, but
-    /// transparent — `dtype()` reports `Utf8`, so every consumer treats
-    /// it as a string column that happens to be compressed. Null rows'
-    /// codes point at an interned `""` entry so `decode()` reproduces
-    /// the normalized null-slot sentinel.
-    Dict(Categorical, Option<Bitmap>),
+    /// Dictionary strings (codes into an arena-backed dict). With the
+    /// category flag clear, `dtype()` reports `Utf8` and every consumer
+    /// treats it as a string column that happens to be compressed; with
+    /// it set, this is a pandas `category` column.
+    Dict(DictCol, Option<Bitmap>),
     /// Run-length-encoded scalar lanes (see [`RleCol`]); `dtype()`
     /// reports the run values' dtype.
     Rle(RleCol),
 }
 
 impl PartialEq for Column {
-    /// Same-variant pairs compare structurally (buffer-for-buffer, the
-    /// semantics the previous `derive(PartialEq)` had); any pair that
-    /// involves an encoding compares *logically*, row by row, so an
-    /// encoded column equals its decoded form.
+    /// Same-variant plain pairs compare structurally (buffer-for-buffer,
+    /// the semantics the previous `derive(PartialEq)` had); any pair that
+    /// involves a `Dict` or `Rle` compares *logically*, row by row, so a
+    /// column equals every other layout of its rows. Dictionary pairs
+    /// sharing one dictionary `Arc` with equal codes skip the row walk.
     fn eq(&self, other: &Column) -> bool {
         match (self, other) {
             (Column::Int64(a, va), Column::Int64(b, vb)) => a == b && va == vb,
@@ -178,8 +207,14 @@ impl PartialEq for Column {
             (Column::Bool(a, va), Column::Bool(b, vb)) => a == b && va == vb,
             (Column::Utf8(a, va), Column::Utf8(b, vb)) => a == b && va == vb,
             (Column::Datetime(a, va), Column::Datetime(b, vb)) => a == b && va == vb,
-            (Column::Categorical(a, va), Column::Categorical(b, vb)) => a == b && va == vb,
-            (Column::Dict(a, va), Column::Dict(b, vb)) => a == b && va == vb,
+            (Column::Dict(a, va), Column::Dict(b, vb))
+                if Arc::ptr_eq(&a.dict, &b.dict)
+                    && a.category == b.category
+                    && a.codes == b.codes
+                    && va == vb =>
+            {
+                true
+            }
             (Column::Dict(..) | Column::Rle(..), _) | (_, Column::Dict(..) | Column::Rle(..)) => {
                 logical_eq(self, other)
             }
@@ -385,7 +420,7 @@ impl Column {
             Column::Bool(v, _) => v.len(),
             Column::Utf8(v, _) => v.len(),
             Column::Datetime(v, _) => v.len(),
-            Column::Categorical(c, _) | Column::Dict(c, _) => c.codes.len(),
+            Column::Dict(c, _) => c.codes.len(),
             Column::Rle(r) => r.len(),
         }
     }
@@ -395,24 +430,31 @@ impl Column {
         self.len() == 0
     }
 
-    /// The column's dtype. Encodings are transparent: `Dict` is a
-    /// string column, `Rle` has its run values' dtype.
+    /// The column's dtype. Layouts are transparent: `Dict` is a string
+    /// column (or `category` when flagged), `Rle` has its run values'
+    /// dtype.
     pub fn dtype(&self) -> DType {
         match self {
             Column::Int64(..) => DType::Int64,
             Column::Float64(..) => DType::Float64,
             Column::Bool(..) => DType::Bool,
-            Column::Utf8(..) | Column::Dict(..) => DType::Utf8,
+            Column::Utf8(..) => DType::Utf8,
+            Column::Dict(c, _) if c.category => DType::Categorical,
+            Column::Dict(..) => DType::Utf8,
             Column::Datetime(..) => DType::Datetime,
-            Column::Categorical(..) => DType::Categorical,
             Column::Rle(r) => r.values.dtype(),
         }
     }
 
-    /// True when the column is stored in an encoded representation
-    /// ([`Column::Dict`] or [`Column::Rle`]).
+    /// True when the column is stored in an encoded representation of
+    /// a plain column ([`Column::Rle`], or an unflagged [`Column::Dict`]).
+    /// A `category` column is not an encoding: the dictionary is its
+    /// natural form, so it never decodes.
     pub fn is_encoded(&self) -> bool {
-        matches!(self, Column::Dict(..) | Column::Rle(..))
+        match self {
+            Column::Dict(c, _) => !c.category,
+            other => matches!(other, Column::Rle(..)),
+        }
     }
 
     /// Validity mask, if any. `Rle` columns keep nulls at run
@@ -426,7 +468,6 @@ impl Column {
             | Column::Bool(_, v)
             | Column::Utf8(_, v)
             | Column::Datetime(_, v)
-            | Column::Categorical(_, v)
             | Column::Dict(_, v) => v.as_ref(),
             Column::Rle(_) => None,
         }
@@ -490,9 +531,7 @@ impl Column {
             Column::Bool(v, _) => Scalar::Bool(v.get(i)),
             Column::Utf8(v, _) => Scalar::Str(v.get(i).to_string()),
             Column::Datetime(v, _) => Scalar::Datetime(v[i]),
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                Scalar::Str(c.dict.get(c.codes[i] as usize).to_string())
-            }
+            Column::Dict(c, _) => Scalar::Str(c.dict.get(c.codes[i] as usize).to_string()),
             Column::Rle(r) => r.values.get(r.run_of(i)),
         }
     }
@@ -501,13 +540,14 @@ impl Column {
 
     /// Materialize an encoded column into its plain representation:
     /// `Dict` gathers dictionary bytes into a fresh arena, `Rle` expands
-    /// runs into full lanes. Plain columns clone. This is the explicit,
-    /// caller-requested decode — kernels that bail out of an encoded
-    /// fast path go through the crate-internal `Column::decoded` instead,
-    /// which also bumps the decode-fallback counter.
+    /// runs into full lanes. Plain and `category` columns clone. This is
+    /// the explicit, caller-requested decode — kernels that bail out of
+    /// an encoded fast path go through the crate-internal
+    /// `Column::decoded` instead, which also bumps the decode-fallback
+    /// counter.
     pub fn decode(&self) -> Column {
         match self {
-            Column::Dict(c, validity) => {
+            Column::Dict(c, validity) if !c.category => {
                 Column::Utf8(c.dict.gather(&c.codes), validity.clone())
             }
             Column::Rle(r) => {
@@ -603,17 +643,10 @@ impl Column {
                 mask.for_each_set_run(|s, l| out.extend_from_slice(&data[s..s + l]));
                 Column::Datetime(out, validity)
             }
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
+            Column::Dict(c, _) => {
                 let mut codes = Vec::with_capacity(n);
                 mask.for_each_set_run(|s, l| codes.extend_from_slice(&c.codes[s..s + l]));
-                let payload = Categorical {
-                    codes,
-                    dict: Arc::clone(&c.dict),
-                };
-                match self {
-                    Column::Dict(..) => Column::Dict(payload, validity),
-                    _ => Column::Categorical(payload, validity),
-                }
+                Column::Dict(c.with_codes(codes), validity)
             }
             // Run-aligned compaction: size each surviving run with one
             // popcount per touched mask word, never visiting rows.
@@ -669,16 +702,10 @@ impl Column {
             Column::Datetime(data, _) => {
                 Column::Datetime(indices.iter().map(|&i| data[i.idx()]).collect(), validity)
             }
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                let payload = Categorical {
-                    codes: indices.iter().map(|&i| c.codes[i.idx()]).collect(),
-                    dict: Arc::clone(&c.dict),
-                };
-                match self {
-                    Column::Dict(..) => Column::Dict(payload, validity),
-                    _ => Column::Categorical(payload, validity),
-                }
-            }
+            Column::Dict(c, _) => Column::Dict(
+                c.with_codes(indices.iter().map(|&i| c.codes[i.idx()]).collect()),
+                validity,
+            ),
             // Random gathers destroy run structure: map each index to
             // its run and gather from the (small) run values column.
             // Output is plain, proportional to the index count.
@@ -709,15 +736,8 @@ impl Column {
             // Zero-copy: the arena is shared, only the offset window moves.
             Column::Utf8(data, _) => Column::Utf8(data.slice(start, n), validity),
             Column::Datetime(data, _) => Column::Datetime(data[start..end].to_vec(), validity),
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                let payload = Categorical {
-                    codes: c.codes[start..end].to_vec(),
-                    dict: Arc::clone(&c.dict),
-                };
-                match self {
-                    Column::Dict(..) => Column::Dict(payload, validity),
-                    _ => Column::Categorical(payload, validity),
-                }
+            Column::Dict(c, _) => {
+                Column::Dict(c.with_codes(c.codes[start..end].to_vec()), validity)
             }
             // Clip the run list to the window: O(runs-in-window), with
             // the (small) values column sliced to the same run range.
@@ -741,7 +761,7 @@ impl Column {
         }
     }
 
-    /// Concatenate two same-dtype columns (categoricals are re-encoded).
+    /// Concatenate two same-dtype columns.
     pub fn concat(&self, other: &Column) -> Result<Column> {
         if self.dtype() != other.dtype() {
             return Err(ColumnarError::TypeMismatch {
@@ -805,47 +825,35 @@ impl Column {
                 }
                 Column::Utf8(out.finish(), validity)
             }
-            // Dict + Dict: unify dictionaries without touching row data.
-            // The left dictionary is kept verbatim; right-side entries
-            // not already present append in right-dict order, and right
-            // codes remap through a translation table — so per-chunk
-            // dictionaries built by the parallel CSV reader unify into
-            // exactly the dictionary a sequential first-appearance scan
-            // would have produced.
+            // Dict + Dict (both flagged or both not — the dtypes agree):
+            // unify dictionaries without touching row data. The union is
+            // the first-appearance encoding of left entries then right
+            // entries — the left dictionary verbatim, unseen right
+            // entries appended in right-dict order — so per-chunk
+            // dictionaries built by the CSV readers unify into exactly
+            // the dictionary a sequential scan would have produced.
             (Column::Dict(a, _), Column::Dict(b, _)) => {
-                let mut union = Utf8Builder::with_capacity(
+                let mut entries = Utf8Builder::with_capacity(
                     a.dict.len() + b.dict.len(),
                     a.dict.value_bytes() + b.dict.value_bytes(),
                 );
-                let mut index: std::collections::HashMap<&[u8], u32> =
-                    std::collections::HashMap::with_capacity(a.dict.len() + b.dict.len());
-                for e in 0..a.dict.len() {
-                    union.push(a.dict.get(e));
-                    index.insert(a.dict.bytes_at(e), e as u32);
-                }
-                let mut next = a.dict.len() as u32;
-                let remap: Vec<u32> = (0..b.dict.len())
-                    .map(|e| match index.entry(b.dict.bytes_at(e)) {
-                        std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            union.push(b.dict.get(e));
-                            let c = next;
-                            next += 1;
-                            v.insert(c);
-                            c
-                        }
-                    })
-                    .collect();
+                entries.append_col(&a.dict);
+                entries.append_col(&b.dict);
+                let (remap, dict) = crate::encoding::build_dict_uncapped(&entries.finish(), None);
+                let (left, right) = remap.split_at(a.dict.len());
                 let mut codes = Vec::with_capacity(total);
-                codes.extend_from_slice(&a.codes);
-                codes.extend(b.codes.iter().map(|&c| remap[c as usize]));
-                Column::Dict(
-                    Categorical {
-                        codes,
-                        dict: Arc::new(union.finish()),
-                    },
-                    validity,
-                )
+                if left.iter().enumerate().all(|(e, &c)| c as usize == e) {
+                    codes.extend_from_slice(&a.codes);
+                } else {
+                    codes.extend(a.codes.iter().map(|&c| left[c as usize]));
+                }
+                codes.extend(b.codes.iter().map(|&c| right[c as usize]));
+                let payload = DictCol {
+                    codes,
+                    dict: Arc::new(dict),
+                    category: a.category,
+                };
+                Column::Dict(payload, validity)
             }
             // Rle + Rle of one dtype: append run lists, rebasing ends.
             (Column::Rle(a), Column::Rle(b)) => {
@@ -858,8 +866,7 @@ impl Column {
                     ends,
                 })
             }
-            // Categoricals re-encode their dictionary, and mixed
-            // plain/encoded pairs materialize; keep the builder path.
+            // Mixed plain/encoded pairs materialize; keep the builder path.
             _ => {
                 let mut b = ColumnBuilder::new(self.dtype());
                 for s in self.iter().chain(other.iter()) {
@@ -943,7 +950,7 @@ impl Column {
             (Column::Bool(a, va), Column::Bool(b, vb)) => {
                 cmp_loop(op, len, va, vb, |i| a.get(i).cmp(&b.get(i)))
             }
-            // Mixed / categorical pairs fall back to the scalar loop.
+            // Mixed / dictionary pairs fall back to the scalar loop.
             _ => Bitmap::from_iter((0..len).map(|i| {
                 let (a, b) = (self.get(i), other.get(i));
                 if a.is_null() || b.is_null() {
@@ -1149,7 +1156,7 @@ impl Column {
                     })
                     .collect(),
             ),
-            Column::Utf8(..) | Column::Categorical(..) | Column::Dict(..) => None,
+            Column::Utf8(..) | Column::Dict(..) => None,
             // Expand the (small) run lanes — same f64 per row as the
             // decoded column, no decode fallback.
             Column::Rle(r) => {
@@ -1287,12 +1294,11 @@ impl Column {
     pub fn fillna(&self, fill: &Scalar) -> Result<Column> {
         // No nulls: nothing to fill. Reproduce the builder's output shape
         // (validity dropped) without touching any row.
-        if !matches!(self, Column::Categorical(..)) && self.count_null() == 0 {
+        if self.count_null() == 0 {
             return Ok(self.with_validity(None));
         }
         let coerced = match cast_scalar(fill, self.dtype()) {
             Some(s) => s,
-            None if matches!(self, Column::Categorical(..)) => Scalar::Null, // builder reports below
             None => {
                 return Err(ColumnarError::ParseError {
                     value: fill.to_string(),
@@ -1336,7 +1342,8 @@ impl Column {
                 }
                 Ok(Column::Utf8(out.finish(), None))
             }
-            // Null fill, or categorical (re-encodes): builder fallback.
+            // Null fill, or a dictionary column (a `category` one
+            // re-encodes): builder fallback.
             _ => {
                 let mut b = ColumnBuilder::new(self.dtype());
                 for i in 0..self.len() {
@@ -1360,7 +1367,6 @@ impl Column {
             Column::Bool(d, _) => Column::Bool(d.clone(), validity),
             Column::Utf8(d, _) => Column::Utf8(d.clone(), validity),
             Column::Datetime(d, _) => Column::Datetime(d.clone(), validity),
-            Column::Categorical(c, _) => Column::Categorical(c.clone(), validity),
             Column::Dict(c, _) => Column::Dict(c.clone(), validity),
             // Rle keeps nulls at run granularity; attaching a row-level
             // mask forces materialization.
@@ -1489,40 +1495,27 @@ impl Column {
         }
     }
 
-    /// Dictionary-encode a string column: distinct values land in a
-    /// (small) arena-backed dictionary, rows become `u32` codes.
+    /// Convert a string column to pandas `category`: distinct values land
+    /// in a (small) arena-backed dictionary, rows become `u32` codes. A
+    /// dictionary column keeps its payload and only gains the flag.
     pub fn to_categorical(&self) -> Result<Column> {
         match self {
             Column::Utf8(values, validity) => {
-                let mut dict = Utf8Builder::new();
-                let mut index: std::collections::HashMap<String, u32> =
-                    std::collections::HashMap::new();
-                let mut codes = Vec::with_capacity(values.len());
-                for v in values.iter() {
-                    let code = match index.get(v) {
-                        Some(&c) => c,
-                        None => {
-                            let c = index.len() as u32;
-                            dict.push(v);
-                            index.insert(v.to_string(), c);
-                            c
-                        }
-                    };
-                    codes.push(code);
-                }
-                Ok(Column::Categorical(
-                    Categorical {
-                        codes,
-                        dict: Arc::new(dict.finish()),
-                    },
-                    validity.clone(),
-                ))
+                let (codes, dict) = crate::encoding::build_dict_uncapped(values, validity.as_ref());
+                let payload = DictCol {
+                    codes,
+                    dict: Arc::new(dict),
+                    category: true,
+                };
+                Ok(Column::Dict(payload, validity.clone()))
             }
-            Column::Categorical(..) => Ok(self.clone()),
-            // Already dictionary-encoded: rebadge the same payload.
-            Column::Dict(c, validity) => {
-                Ok(Column::Categorical(c.clone(), validity.clone()))
-            }
+            Column::Dict(c, validity) => Ok(Column::Dict(
+                DictCol {
+                    category: true,
+                    ..c.clone()
+                },
+                validity.clone(),
+            )),
             Column::Rle(_) if self.dtype() == DType::Utf8 => self.decoded().to_categorical(),
             _ => Err(ColumnarError::TypeMismatch {
                 op: "astype(category)".into(),
@@ -1531,24 +1524,14 @@ impl Column {
         }
     }
 
-    /// Decode a categorical back to plain strings (no-op for Utf8).
+    /// Decode a dictionary column back to plain strings (no-op for Utf8).
     pub fn to_utf8(&self) -> Result<Column> {
         match self {
-            Column::Categorical(c, validity) => {
-                // Each row copies its dictionary entry's bytes into the
-                // new arena (the dict is the only byte source).
-                let mut out = Utf8Builder::with_capacity(
-                    c.codes.len(),
-                    c.codes.len() * c.dict.avg_row_bytes(),
-                );
-                for &code in &c.codes {
-                    out.push(c.dict.get(code as usize));
-                }
-                Ok(Column::Utf8(out.finish(), validity.clone()))
-            }
             Column::Utf8(..) => Ok(self.clone()),
-            // Dict decode is one run-collapsing gather off the dictionary.
-            Column::Dict(..) => Ok(self.decode()),
+            // One run-collapsing gather off the dictionary.
+            Column::Dict(c, validity) => {
+                Ok(Column::Utf8(c.dict.gather(&c.codes), validity.clone()))
+            }
             Column::Rle(_) if self.dtype() == DType::Utf8 => Ok(self.decode()),
             _ => Err(ColumnarError::TypeMismatch {
                 op: "to_utf8".into(),
@@ -1592,84 +1575,39 @@ impl Column {
     /// String accessor (`.str.<op>`).
     pub fn str_op(&self, op: &StrOp) -> Result<Column> {
         // Dictionary fast path: evaluate the op once per distinct entry
-        // instead of once per row. Case transforms keep the dictionary
-        // encoding (re-deduplicated, since e.g. "A" and "a" collide
-        // after lowering); predicates and lengths expand a per-entry
-        // table through the codes.
+        // instead of once per row, then expand the per-entry results
+        // through the codes. Case transforms keep the dictionary
+        // (re-deduplicated, since e.g. "A" and "a" collide after
+        // lowering) and return plain strings, not `category`.
         if let Column::Dict(c, validity) = self {
-            return Ok(match op {
-                StrOp::Lower | StrOp::Upper => {
-                    let transform = |s: &str| -> String {
-                        if matches!(op, StrOp::Lower) {
-                            s.to_lowercase()
-                        } else {
-                            s.to_uppercase()
-                        }
+            let per_entry = Column::Utf8(c.dict.as_ref().clone(), None).str_op(op)?;
+            return Ok(match per_entry {
+                Column::Utf8(entries, _) => {
+                    let (remap, dict) = crate::encoding::build_dict_uncapped(&entries, None);
+                    let codes = c.codes.iter().map(|&code| remap[code as usize]).collect();
+                    let payload = DictCol {
+                        codes,
+                        dict: Arc::new(dict),
+                        category: false,
                     };
-                    let mut dict = Utf8Builder::with_capacity(c.dict.len(), c.dict.value_bytes());
-                    let mut index: std::collections::HashMap<String, u32> =
-                        std::collections::HashMap::with_capacity(c.dict.len());
-                    let mut remap = Vec::with_capacity(c.dict.len());
-                    for e in 0..c.dict.len() {
-                        let t = transform(c.dict.get(e));
-                        let next = index.len() as u32;
-                        let code = *index.entry(t.clone()).or_insert_with(|| {
-                            dict.push(&t);
-                            next
-                        });
-                        remap.push(code);
-                    }
-                    Column::Dict(
-                        Categorical {
-                            codes: c.codes.iter().map(|&code| remap[code as usize]).collect(),
-                            dict: Arc::new(dict.finish()),
-                        },
-                        validity.clone(),
-                    )
+                    Column::Dict(payload, validity.clone())
                 }
-                StrOp::Len => {
-                    let table: Vec<i64> = (0..c.dict.len())
-                        .map(|e| c.dict.get(e).chars().count() as i64)
-                        .collect();
-                    Column::Int64(
-                        c.codes.iter().map(|&code| table[code as usize]).collect(),
-                        validity.clone(),
-                    )
-                }
-                StrOp::Contains(pat) => {
-                    let table: Vec<bool> = (0..c.dict.len())
-                        .map(|e| c.dict.get(e).contains(pat.as_str()))
-                        .collect();
-                    Column::Bool(
-                        Bitmap::from_iter(c.codes.iter().map(|&code| table[code as usize])),
-                        validity.clone(),
-                    )
-                }
-                StrOp::StartsWith(pat) => {
-                    let table: Vec<bool> = (0..c.dict.len())
-                        .map(|e| c.dict.get(e).starts_with(pat.as_str()))
-                        .collect();
-                    Column::Bool(
-                        Bitmap::from_iter(c.codes.iter().map(|&code| table[code as usize])),
-                        validity.clone(),
-                    )
-                }
+                table => table
+                    .take_unchecked(&c.codes)
+                    .with_validity(validity.clone()),
             });
         }
-        let utf8 = match self {
-            Column::Utf8(..) | Column::Categorical(..) => self.to_utf8()?,
-            Column::Rle(_) if self.dtype() == DType::Utf8 => self.decoded().to_utf8()?,
-            _ => {
-                return Err(ColumnarError::TypeMismatch {
-                    op: format!("str.{op:?}"),
-                    dtype: self.dtype().to_string(),
-                })
-            }
+        if self.dtype() != DType::Utf8 {
+            return Err(ColumnarError::TypeMismatch {
+                op: format!("str.{op:?}"),
+                dtype: self.dtype().to_string(),
+            });
+        }
+        let plain = self.rle_decoded();
+        let Column::Utf8(values, validity) = plain.as_ref() else {
+            unreachable!("a Utf8-typed column decodes to Utf8")
         };
-        let (values, validity) = match utf8 {
-            Column::Utf8(v, m) => (v, m),
-            _ => unreachable!(),
-        };
+        let validity = validity.clone();
         Ok(match op {
             StrOp::Lower => {
                 let mut out = Utf8Builder::with_capacity(values.len(), values.value_bytes());
@@ -1769,7 +1707,7 @@ impl Column {
                 }
             }
             // Strings have no numeric view: the old loop skipped every row.
-            Column::Utf8(..) | Column::Categorical(..) | Column::Dict(..) => Scalar::Null,
+            Column::Utf8(..) | Column::Dict(..) => Scalar::Null,
             // Integer runs sum exactly as value × width (wrapping
             // multiplication ≡ repeated wrapping addition mod 2⁶⁴).
             // Float/bool/datetime sums accumulate in f64, where addition
@@ -1867,79 +1805,26 @@ impl Column {
                 Scalar::Bool,
             )
             .unwrap_or(Scalar::Null),
-            Column::Utf8(v, m) => {
-                let mut best: Option<&str> = None;
-                for (i, s) in v.iter().enumerate() {
-                    if !valid(m, i) {
-                        continue;
-                    }
-                    let replace = match best {
-                        None => true,
-                        Some(b) => {
-                            if want_min {
-                                s < b
-                            } else {
-                                s > b
-                            }
-                        }
-                    };
-                    if replace {
-                        best = Some(s);
-                    }
-                }
-                best.map(|s| Scalar::Str(s.to_string())).unwrap_or(Scalar::Null)
-            }
-            Column::Categorical(..) => {
-                // Dictionary decode is cold: scalar fallback.
-                let it = self.iter().filter(|s| !s.is_null());
-                let best = if want_min {
-                    it.min_by(|a, b| a.cmp_values(b))
-                } else {
-                    it.max_by(|a, b| a.cmp_values(b))
-                };
-                best.unwrap_or(Scalar::Null)
-            }
+            Column::Utf8(v, m) => fold(
+                v.iter()
+                    .enumerate()
+                    .filter(|(i, _)| valid(m, *i))
+                    .map(|(_, s)| s),
+                |a, b| if want_min { a < b } else { a > b },
+                |s| Scalar::Str(s.to_string()),
+            )
+            .unwrap_or(Scalar::Null),
             // The extreme over rows is the extreme over *used* dictionary
             // entries: one pass marking used codes, one pass over the
             // (small) dictionary.
-            Column::Dict(c, m) => {
-                let mut used = vec![false; c.dict.len()];
-                match m {
-                    None => {
-                        for &code in &c.codes {
-                            used[code as usize] = true;
-                        }
-                    }
-                    Some(mask) => {
-                        for (i, &code) in c.codes.iter().enumerate() {
-                            if mask.get(i) {
-                                used[code as usize] = true;
-                            }
-                        }
-                    }
-                }
-                let mut best: Option<&str> = None;
-                for (e, &is_used) in used.iter().enumerate() {
-                    if !is_used {
-                        continue;
-                    }
-                    let s = c.dict.get(e);
-                    let replace = match best {
-                        None => true,
-                        Some(b) => {
-                            if want_min {
-                                s < b
-                            } else {
-                                s > b
-                            }
-                        }
-                    };
-                    if replace {
-                        best = Some(s);
-                    }
-                }
-                best.map(|s| Scalar::Str(s.to_string())).unwrap_or(Scalar::Null)
-            }
+            Column::Dict(c, m) => fold(
+                c.used_entries(m)
+                    .filter(|&(_, used)| used)
+                    .map(|(e, _)| c.dict.get(e)),
+                |a, b| if want_min { a < b } else { a > b },
+                |s| Scalar::Str(s.to_string()),
+            )
+            .unwrap_or(Scalar::Null),
             // The extreme over runs equals the extreme over rows.
             Column::Rle(r) => r.values.extreme(want_min),
         }
@@ -1956,13 +1841,7 @@ impl Column {
             // Distinct rows = distinct *used* codes (filters and slices
             // can leave dictionary entries with no referencing row).
             Column::Dict(c, m) => {
-                let mut used = vec![false; c.dict.len()];
-                for (i, &code) in c.codes.iter().enumerate() {
-                    if m.as_ref().is_none_or(|mask| mask.get(i)) {
-                        used[code as usize] = true;
-                    }
-                }
-                Scalar::Int(used.iter().filter(|&&u| u).count() as i64)
+                Scalar::Int(c.used_entries(m).filter(|&(_, used)| used).count() as i64)
             }
             // Distinct run values = distinct row values.
             Column::Rle(r) => r.values.nunique(),
@@ -2040,7 +1919,7 @@ impl Column {
                     mix(j, if valid(m, i) { fnv1a(v.bytes_at(i)) } else { u64::MAX });
                 }
             }
-            Column::Categorical(c, m) | Column::Dict(c, m) => {
+            Column::Dict(c, m) => {
                 // Hash each dictionary entry once, then look codes up.
                 let dict_hashes: Vec<u64> =
                     (0..c.dict.len()).map(|d| fnv1a(c.dict.bytes_at(d))).collect();
@@ -2086,9 +1965,7 @@ impl Column {
             Column::Float64(v, _) => v[i].to_bits(),
             Column::Bool(v, _) => v.get(i) as u64,
             Column::Utf8(v, _) => fnv1a(v.bytes_at(i)),
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                fnv1a(c.dict.bytes_at(c.codes[i] as usize))
-            }
+            Column::Dict(c, _) => fnv1a(c.dict.bytes_at(c.codes[i] as usize)),
             Column::Rle(r) => r.values.hash_lane_at(r.run_of(i)),
         }
     }
@@ -2435,7 +2312,7 @@ impl HeapSize for Column {
                 // The dictionary is shared: slices / partitions holding
                 // the same `Arc` must not each charge its full bytes
                 // against a memory budget, so split it across holders.
-                Column::Categorical(c, _) | Column::Dict(c, _) => {
+                Column::Dict(c, _) => {
                     let holders = std::sync::Arc::strong_count(&c.dict).max(1);
                     c.codes.capacity() * 4 + c.dict.heap_size() / holders
                 }
@@ -2579,6 +2456,30 @@ mod tests {
         let plain = Column::from_strings(many.clone());
         let encoded = plain.to_categorical().unwrap();
         assert!(encoded.heap_size() < plain.heap_size());
+    }
+
+    #[test]
+    fn dictionary_equality_is_logical() {
+        use crate::encoding::dict_encode;
+        // Same rows, different dictionaries (one keeps an entry only the
+        // sliced-away row used): equal to the plain column and to each
+        // other, so equality stays transitive.
+        let sliced = dict_encode(&Column::from_strings(["a", "b", "a"]))
+            .unwrap()
+            .slice(1, 2);
+        let fresh = dict_encode(&Column::from_strings(["b", "a"])).unwrap();
+        let plain = Column::from_strings(["b", "a"]);
+        assert_eq!(sliced, plain);
+        assert_eq!(fresh, plain);
+        assert_eq!(sliced, fresh);
+        let (cat_sliced, cat_fresh) = (
+            sliced.to_categorical().unwrap(),
+            fresh.to_categorical().unwrap(),
+        );
+        assert_eq!(cat_sliced, cat_fresh);
+        // The logical dtype still separates `category` from strings.
+        assert_ne!(cat_fresh, fresh);
+        assert_ne!(sliced, Column::from_strings(["b", "b"]));
     }
 
     #[test]

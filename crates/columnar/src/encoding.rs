@@ -32,7 +32,7 @@
 //! ```
 
 use crate::bitmap::Bitmap;
-use crate::column::{fnv1a, Categorical, Column, RleCol};
+use crate::column::{fnv1a, Column, DictCol, RleCol};
 use crate::strings::{Utf8Builder, Utf8Col};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,15 +146,20 @@ pub fn reset() {
 /// Build the code vector + dictionary for a string column, aborting as
 /// soon as the distinct count exceeds `cap`. Null rows are interned as
 /// `""` so that `decode()` reproduces the normalized null-slot sentinel
-/// the plain builders use; validity still marks them null.
-fn build_dict(
+/// the plain builders use; validity still marks them null. Entries keep
+/// first-appearance order. This is the one dictionary encoder: ingest
+/// auto-encoding caps it; `astype('category')`, dictionary concat and
+/// the dictionary-level case transforms run it uncapped
+/// ([`build_dict_uncapped`]).
+pub(crate) fn build_dict(
     values: &Utf8Col,
     validity: Option<&Bitmap>,
-    cap: usize,
+    cap: Option<usize>,
 ) -> Option<(Vec<u32>, Utf8Col)> {
     let rows = values.len();
     let mut codes = Vec::with_capacity(rows);
-    let mut builder = Utf8Builder::with_capacity(cap.min(rows), 0);
+    // Only a cap bounds the dictionary well enough to reserve for it.
+    let mut builder = Utf8Builder::with_capacity(cap.map_or(0, |c| c.min(rows)), 0);
     // fnv hash of entry bytes -> candidate codes (collision list).
     let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
     // Entry bytes live in `values`' arena for valid rows; remember each
@@ -180,7 +185,7 @@ fn build_dict(
             }
         }
         if code == u32::MAX {
-            if builder.len() >= cap {
+            if cap.is_some_and(|c| builder.len() >= c) {
                 return None;
             }
             code = builder.len() as u32;
@@ -194,6 +199,14 @@ fn build_dict(
     Some((codes, builder.finish()))
 }
 
+/// [`build_dict`] with no cardinality cap, which always succeeds.
+pub(crate) fn build_dict_uncapped(
+    values: &Utf8Col,
+    validity: Option<&Bitmap>,
+) -> (Vec<u32>, Utf8Col) {
+    build_dict(values, validity, None).expect("an uncapped dictionary build always succeeds")
+}
+
 /// Dictionary-encode a string column unconditionally (subject only to
 /// the [`DICT_MAX_CARDINALITY`] cap). Returns `None` for non-string
 /// columns, columns that blow the cap, and already-encoded columns.
@@ -205,14 +218,8 @@ pub fn dict_encode(col: &Column) -> Option<Column> {
         Column::Utf8(v, validity) => (v, validity.as_ref()),
         _ => return None,
     };
-    let (codes, dict) = build_dict(values, validity, DICT_MAX_CARDINALITY)?;
-    Some(Column::Dict(
-        Categorical {
-            codes,
-            dict: Arc::new(dict),
-        },
-        validity.cloned(),
-    ))
+    let (codes, dict) = build_dict(values, validity, Some(DICT_MAX_CARDINALITY))?;
+    Some(dict_column(codes, dict, validity))
 }
 
 /// The ingest-side heuristic: dictionary-encode `col` if it is a string
@@ -235,20 +242,24 @@ pub fn dict_encode_auto(col: &Column) -> Option<Column> {
         return None;
     }
     let cap = DICT_MAX_CARDINALITY.min(rows / 4);
-    let (codes, dict) = build_dict(values, validity, cap)?;
+    let (codes, dict) = build_dict(values, validity, Some(cap))?;
     let plain_bytes = values.heap_bytes();
     let encoded_bytes = codes.len() * 4 + dict.heap_bytes();
     if encoded_bytes >= plain_bytes {
         return None;
     }
     global().record_dict((plain_bytes - encoded_bytes) as u64);
-    Some(Column::Dict(
-        Categorical {
-            codes,
-            dict: Arc::new(dict),
-        },
-        validity.cloned(),
-    ))
+    Some(dict_column(codes, dict, validity))
+}
+
+/// An unflagged (`Utf8`-typed) dictionary column.
+fn dict_column(codes: Vec<u32>, dict: Utf8Col, validity: Option<&Bitmap>) -> Column {
+    let payload = DictCol {
+        codes,
+        dict: Arc::new(dict),
+        category: false,
+    };
+    Column::Dict(payload, validity.cloned())
 }
 
 /// Run-length-encode a column: one entry per maximal run of equal
@@ -259,7 +270,7 @@ pub fn dict_encode_auto(col: &Column) -> Option<Column> {
 /// half the rows start a new run). Does not touch the counters; use
 /// [`rle_encode_auto`] for ingest decisions.
 pub fn rle_encode(col: &Column) -> Option<Column> {
-    if matches!(col, Column::Dict(..) | Column::Rle(..)) {
+    if col.is_encoded() {
         return None;
     }
     let rows = col.len();

@@ -86,7 +86,7 @@ enum ColView<'a> {
     Bool(&'a Bitmap, Option<&'a Bitmap>),
     Dt(&'a [i64], Option<&'a Bitmap>),
     Str(&'a Utf8Col, Option<&'a Bitmap>),
-    Cat(&'a crate::column::Categorical, Option<&'a Bitmap>),
+    Cat(&'a crate::column::DictCol, Option<&'a Bitmap>),
 }
 
 impl<'a> ColView<'a> {
@@ -97,7 +97,7 @@ impl<'a> ColView<'a> {
             Column::Bool(d, v) => ColView::Bool(d, v.as_ref()),
             Column::Datetime(d, v) => ColView::Dt(d, v.as_ref()),
             Column::Utf8(d, v) => ColView::Str(d, v.as_ref()),
-            Column::Categorical(c, v) | Column::Dict(c, v) => ColView::Cat(c, v.as_ref()),
+            Column::Dict(c, v) => ColView::Cat(c, v.as_ref()),
             // `update_inner` expands run-length values before building a
             // view; a borrowed view cannot own the expansion.
             Column::Rle(_) => unreachable!("RLE values are decoded before view construction"),
@@ -723,9 +723,7 @@ impl KeyCol {
                 } else {
                     match col {
                         Column::Utf8(d, _) => d.get(i),
-                        Column::Categorical(c, _) | Column::Dict(c, _) => {
-                            c.dict.get(c.codes[i] as usize)
-                        }
+                        Column::Dict(c, _) => c.dict.get(c.codes[i] as usize),
                         _ => return false,
                     }
                 };
@@ -772,9 +770,7 @@ impl KeyCol {
                 } else {
                     match col {
                         Column::Utf8(d, _) => d.get(i),
-                        Column::Categorical(c, _) | Column::Dict(c, _) => {
-                            c.dict.get(c.codes[i] as usize)
-                        }
+                        Column::Dict(c, _) => c.dict.get(c.codes[i] as usize),
                         _ => "",
                     }
                 };
@@ -851,6 +847,29 @@ impl KeyCol {
             }
             // Canonical nulls are stored rendered ("NaN") already.
             KeyCol::Canon { data, .. } => fnv1a(data[g].as_bytes()),
+        }
+    }
+
+    /// Overwrite stored group `g` with `other`'s key-equal group `h`.
+    /// Only string-class stores can hold differing keys for one group (a
+    /// null and a literal `"NaN"`); typed stores hold identical values.
+    fn set_from(&mut self, g: usize, other: &KeyCol, h: usize) {
+        match (self, other) {
+            (
+                KeyCol::Str { data, nulls },
+                KeyCol::Str {
+                    data: d2,
+                    nulls: n2,
+                },
+            ) => {
+                data[g] = d2[h].clone();
+                nulls[g] = n2[h];
+            }
+            (KeyCol::Canon { data, nulls }, _) => {
+                data[g] = other.rendered(h).into_owned();
+                nulls[g] = other.is_null(h);
+            }
+            _ => {}
         }
     }
 
@@ -1026,7 +1045,7 @@ fn mix_key_hashes(store: &KeyCol, col: &Column, offset: usize, hashes: &mut [u64
                         mix(j, v);
                     }
                 }
-                Column::Categorical(c, _) | Column::Dict(c, _) => {
+                Column::Dict(c, _) => {
                     let dict_hashes: Vec<u64> =
                         (0..c.dict.len()).map(|d| fnv1a(c.dict.bytes_at(d))).collect();
                     for (j, &code) in c.codes[offset..offset + len].iter().enumerate() {
@@ -1084,6 +1103,10 @@ pub struct GroupByAccumulator {
     table: HashTable,
     key_cols: Vec<KeyCol>,
     states: Vec<AggState>,
+    /// Each group's first row (index into the frame its rows came from),
+    /// so partials over disjoint row ranges of one frame can merge to
+    /// the sequential scan's representative key.
+    first_rows: Vec<usize>,
     value_is_int: bool,
     /// Reused per-chunk row-hash buffer: the fused-chain path feeds one
     /// accumulator morsel after morsel, so the scratch is allocated once
@@ -1099,6 +1122,7 @@ impl GroupByAccumulator {
             table: HashTable::default(),
             key_cols: Vec::new(),
             states: Vec::new(),
+            first_rows: Vec::new(),
             value_is_int: true,
             hash_scratch: Vec::new(),
         }
@@ -1246,6 +1270,7 @@ impl GroupByAccumulator {
                         store.push_row(col, i);
                     }
                     self.states.push(AggState::new(value_is_int));
+                    self.first_rows.push(i);
                     g as usize
                 }
             }
@@ -1260,6 +1285,19 @@ impl GroupByAccumulator {
     /// the same hashed representation: no keys are re-rendered on the
     /// common path.
     pub fn merge(&mut self, other: &GroupByAccumulator) {
+        self.merge_impl(other, false)
+    }
+
+    /// [`merge`](Self::merge) for partials that read disjoint row ranges
+    /// of one frame: a group present on both sides takes the key of the
+    /// earlier first row. Keys that group together can differ (a null
+    /// string key and a literal `"NaN"`); this keeps the sequential
+    /// scan's key whatever order the partials merge in.
+    fn merge_in_row_order(&mut self, other: &GroupByAccumulator) {
+        self.merge_impl(other, true)
+    }
+
+    fn merge_impl(&mut self, other: &GroupByAccumulator, earliest_key: bool) {
         self.value_is_int = self.value_is_int && other.value_is_int;
         if self.key_cols.is_empty() && !other.key_cols.is_empty() {
             // We never saw a chunk: adopt the other side's key layout.
@@ -1289,7 +1327,16 @@ impl GroupByAccumulator {
                 })
             });
             match found {
-                Some(g) => self.states[g as usize].merge(&other.states[h]),
+                Some(g) => {
+                    let g = g as usize;
+                    if earliest_key && other.first_rows[h] < self.first_rows[g] {
+                        for (mine, theirs) in self.key_cols.iter_mut().zip(&other.key_cols) {
+                            mine.set_from(g, theirs, h);
+                        }
+                        self.first_rows[g] = other.first_rows[h];
+                    }
+                    self.states[g].merge(&other.states[h]);
+                }
                 None => {
                     let g = self.states.len() as u32;
                     self.table.entry(hash).or_default().push(g);
@@ -1297,6 +1344,7 @@ impl GroupByAccumulator {
                         mine.push_from(theirs, h);
                     }
                     self.states.push(other.states[h].clone());
+                    self.first_rows.push(other.first_rows[h]);
                 }
             }
         }
@@ -1308,6 +1356,7 @@ impl GroupByAccumulator {
     fn rebuild_table(&mut self) {
         let old_keys = std::mem::take(&mut self.key_cols);
         let old_states = std::mem::take(&mut self.states);
+        let old_first_rows = std::mem::take(&mut self.first_rows);
         self.key_cols = old_keys.iter().map(KeyCol::empty_like).collect();
         self.table.clear();
         for (g, old_state) in old_states.iter().enumerate() {
@@ -1329,6 +1378,7 @@ impl GroupByAccumulator {
                         mine.push_from(theirs, g);
                     }
                     self.states.push(old_state.clone());
+                    self.first_rows.push(old_first_rows[g]);
                 }
             }
         }
@@ -1343,7 +1393,7 @@ impl GroupByAccumulator {
         // Hash table: each occupied slot holds a key, a Vec header and
         // (usually) one u32 entry.
         let table = self.table.len() * (8 + 24) + self.num_groups() * 4;
-        states + keys + table + self.hash_scratch.capacity() * 8
+        states + keys + table + (self.first_rows.capacity() + self.hash_scratch.capacity()) * 8
     }
 
     /// Produce the result frame: one row per group, sorted by key (pandas
@@ -1408,10 +1458,10 @@ const DENSE_MAX_DICT: usize = 65_536;
 /// applies: a single dictionary-backed key with no nulls, a small
 /// dictionary, and unique entries. Uniqueness holds for every in-tree
 /// construction path but is verified here (one cheap pass over the
-/// dictionary, not the rows) because `Categorical`'s fields are public.
-fn dense_key(col: &Column) -> Option<&crate::column::Categorical> {
+/// dictionary, not the rows) because `DictCol`'s fields are public.
+fn dense_key(col: &Column) -> Option<&crate::column::DictCol> {
     let c = match col {
-        Column::Categorical(c, None) | Column::Dict(c, None) => c,
+        Column::Dict(c, None) => c,
         _ => return None,
     };
     if c.dict.len() > DENSE_MAX_DICT {
@@ -1447,7 +1497,7 @@ impl DenseGroups {
     /// the hash path, a row claims its group even when its value is null.
     fn update_range(
         &mut self,
-        key: &crate::column::Categorical,
+        key: &crate::column::DictCol,
         view: &ColView<'_>,
         offset: usize,
         len: usize,
@@ -1484,7 +1534,7 @@ impl DenseGroups {
 /// `finish` (same key-sort, same builders, same output dtypes).
 fn finish_dense(
     spec: GroupBySpec,
-    key: &crate::column::Categorical,
+    key: &crate::column::DictCol,
     dense: DenseGroups,
     value_is_int: bool,
 ) -> Result<DataFrame> {
@@ -1502,6 +1552,7 @@ fn finish_dense(
         table: HashTable::default(),
         key_cols: vec![KeyCol::Str { data, nulls }],
         states,
+        first_rows: Vec::new(),
         value_is_int,
         hash_scratch: Vec::new(),
     };
@@ -1578,7 +1629,9 @@ pub fn group_by(frame: &DataFrame, spec: &GroupBySpec) -> Result<DataFrame> {
 /// pool's shared queue, fold them into worker-local
 /// [`GroupByAccumulator`]s (no input copies — [`update_range`] reads the
 /// shared frame in place), and the partials merge through the existing
-/// typed merge path. Falls back to the sequential [`group_by`] below
+/// typed merge path, each group keeping its earliest row's key so the
+/// result does not depend on which worker claimed which morsel. Falls
+/// back to the sequential [`group_by`] below
 /// [`PAR_MIN_ROWS`](crate::pool::PAR_MIN_ROWS) or on a single-thread
 /// pool; the result is identical either way (the finish step orders
 /// groups by rendered key, not by discovery order).
@@ -1613,7 +1666,7 @@ pub fn group_by_par(
     let mut it = partials.into_iter();
     let mut merged = it.next().expect("at least one worker")?;
     for partial in it {
-        merged.merge(&partial?);
+        merged.merge_in_row_order(&partial?);
     }
     merged.finish()
 }
@@ -1895,6 +1948,38 @@ mod tests {
         let out = group_by(&df, &s).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.column("v").unwrap().get(0), Scalar::Int(3));
+    }
+
+    #[test]
+    fn row_order_merge_keeps_the_earliest_key() {
+        // Rows 0 (null) and 2 ("NaN") share a group. Merging the later
+        // partial first must still yield row 0's null key, as the
+        // sequential scan does.
+        let df = df![
+            (
+                "k",
+                Column::from_opt_strings(vec![
+                    None,
+                    Some("x".into()),
+                    Some("NaN".into()),
+                    Some("x".into())
+                ])
+            ),
+            ("v", Column::from_i64(vec![1, 2, 4, 8])),
+        ];
+        let s = GroupBySpec {
+            keys: vec!["k".into()],
+            value: "v".into(),
+            agg: AggKind::Sum,
+        };
+        let mut late = GroupByAccumulator::new(s.clone());
+        late.update_range(&df, 2, 2).unwrap();
+        let mut early = GroupByAccumulator::new(s.clone());
+        early.update_range(&df, 0, 2).unwrap();
+        late.merge_in_row_order(&early);
+        let out = late.finish().unwrap();
+        assert_eq!(out, group_by(&df, &s).unwrap());
+        assert!(out.column("k").unwrap().column().is_null_at(0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! path, which reproduces the old behaviour verbatim.
 
 use crate::bitmap::{BitWriter, Bitmap};
-use crate::column::{fnv1a, Categorical, Column, ColumnBuilder, HashTable, IndexLike, HASH_PRIME};
+use crate::column::{fnv1a, Column, ColumnBuilder, DictCol, HashTable, IndexLike, HASH_PRIME};
 use crate::error::{ColumnarError, Result};
 use crate::frame::DataFrame;
 use crate::pool::{kernel_morsels, WorkerPool, PAR_MIN_ROWS};
@@ -209,7 +209,7 @@ enum KeyView<'a> {
     Float(&'a [f64], Option<&'a Bitmap>),
     Bool(&'a Bitmap, Option<&'a Bitmap>),
     Utf8(&'a Utf8Col, Option<&'a Bitmap>),
-    Cat(&'a Categorical, Option<&'a Bitmap>),
+    Cat(&'a DictCol, Option<&'a Bitmap>),
 }
 
 /// Key equality classes: pairs within one class compare typed; anything
@@ -231,7 +231,7 @@ impl<'a> KeyView<'a> {
             Column::Float64(d, v) => KeyView::Float(d, v.as_ref()),
             Column::Bool(d, v) => KeyView::Bool(d, v.as_ref()),
             Column::Utf8(d, v) => KeyView::Utf8(d, v.as_ref()),
-            Column::Categorical(c, v) | Column::Dict(c, v) => KeyView::Cat(c, v.as_ref()),
+            Column::Dict(c, v) => KeyView::Cat(c, v.as_ref()),
             // `merge_impl` expands run-length keys before building views;
             // a borrowed view cannot own the expansion.
             Column::Rle(_) => unreachable!("RLE keys are decoded before view construction"),
@@ -371,7 +371,7 @@ fn rows_equal(a: &KeyView<'_>, i: usize, b: &KeyView<'_>, j: usize) -> bool {
             (false, false) => ad.get(i) == bd.get(j),
             _ => false,
         },
-        // String class (Utf8 / Categorical in any mix): rendered equality,
+        // String class (Utf8 / dictionary in any mix): rendered equality,
         // nulls rendering "NaN".
         _ => a.str_at(i) == b.str_at(j),
     }
@@ -595,7 +595,7 @@ fn join_indices_typed<I: IndexLike + Send + Sync>(
 /// representative could carry either code); unmatched probe entries map
 /// to `u32::MAX`, which no real build code equals. Shared-`Arc` sides
 /// skip the byte lookups entirely.
-fn dict_probe_remap(lc: &Categorical, rc: &Categorical) -> Option<Vec<u32>> {
+fn dict_probe_remap(lc: &DictCol, rc: &DictCol) -> Option<Vec<u32>> {
     if std::sync::Arc::ptr_eq(&lc.dict, &rc.dict) {
         return Some((0..lc.dict.len() as u32).collect());
     }
@@ -843,11 +843,11 @@ fn gather_optional<I: IndexLike>(col: &Column, indices: &[I]) -> Column {
             }
             Column::Utf8(out.finish(), Some(validity.finish()))
         }
-        // Categorical re-encodes its dictionary in gather order, exactly
-        // like the builder did (cold path). Encoded columns take the same
-        // builder fallback: `dtype()` routes Dict to a plain Utf8 output
-        // and Rle to its value dtype.
-        Column::Categorical(..) | Column::Dict(..) | Column::Rle(_) => {
+        // Dictionary and run columns take the builder fallback: `dtype()`
+        // routes an unflagged Dict to a plain Utf8 output, a `category`
+        // one to a dictionary re-encoded in gather order, and Rle to its
+        // value dtype.
+        Column::Dict(..) | Column::Rle(_) => {
             let mut b = ColumnBuilder::new(col.dtype());
             for &ix in indices {
                 if ix.is_sentinel() {

@@ -20,14 +20,16 @@
 //! u64 ncols · u64 nrows
 //! per column:
 //!   u32 name_len · name bytes (UTF-8)
-//!   u8  dtype tag (0 Int64 · 1 Float64 · 2 Bool · 3 Utf8 · 4 Datetime · 5 Categorical)
+//!   u8  layout tag (0 Int64 · 1 Float64 · 2 Bool · 3 Utf8 · 4 Datetime ·
+//!       5 Dict with the category flag set · 6 Dict without it · 7 Rle)
 //!   u8  has_validity; if 1: nrows.div_ceil(64) × u64 bitmap words
 //!   payload:
 //!     Int64/Datetime  nrows × i64
 //!     Float64         nrows × u64   (f64::to_bits — NaN payloads survive bit-identically)
 //!     Bool            nrows.div_ceil(64) × u64 bitmap words
 //!     Utf8            u64 total_bytes · nrows × u32 row lengths · arena bytes
-//!     Categorical     nrows × u32 codes · dict as a Utf8 payload (u64 rows first)
+//!     Dict (5 and 6)  nrows × u32 codes · dict as a Utf8 payload (u64 rows first)
+//!     Rle             u64 nruns · run values as a nested column (nruns rows) · nruns × u32 ends
 //! ```
 //!
 //! Utf8 payloads write the column's *used* arena range once
@@ -67,7 +69,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bitmap::Bitmap;
-use crate::column::{Categorical, Column};
+use crate::column::{Column, DictCol};
 use crate::error::{ColumnarError, Result};
 use crate::faults::{self, FaultSite};
 use crate::frame::DataFrame;
@@ -590,7 +592,7 @@ fn dtype_tag(col: &Column) -> u8 {
         Column::Bool(..) => 2,
         Column::Utf8(..) => 3,
         Column::Datetime(..) => 4,
-        Column::Categorical(..) => 5,
+        Column::Dict(c, _) if c.category => 5,
         Column::Dict(..) => 6,
         Column::Rle(..) => 7,
     }
@@ -612,10 +614,9 @@ fn write_column(w: &mut impl Write, col: &Column, nrows: usize) -> Result<()> {
         }
         Column::Bool(d, _) => write_bitmap(w, d)?,
         Column::Utf8(d, _) => write_utf8(w, d)?,
-        // Dict shares the Categorical payload shape (codes + dict once)
-        // under its own tag, so encoded columns spill their compressed
-        // form — the dictionary is written once, not a string per row.
-        Column::Categorical(c, _) | Column::Dict(c, _) => {
+        // Dictionary columns spill their compressed form: the
+        // dictionary is written once, not a string per row.
+        Column::Dict(c, _) => {
             for &code in &c.codes {
                 write_u32(w, code)?;
             }
@@ -684,15 +685,12 @@ fn read_column(r: &mut impl Read, nrows: usize, path: &Path) -> Result<Column> {
             if codes.iter().any(|&c| c as usize >= dict_rows.max(1)) {
                 return Err(corrupt(path, "categorical code out of range"));
             }
-            let payload = Categorical {
+            let payload = DictCol {
                 codes,
                 dict: Arc::new(dict),
+                category: dtype == 5,
             };
-            if dtype == 5 {
-                Column::Categorical(payload, validity)
-            } else {
-                Column::Dict(payload, validity)
-            }
+            Column::Dict(payload, validity)
         }
         7 => {
             if validity.is_some() {

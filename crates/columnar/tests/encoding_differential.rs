@@ -1,7 +1,10 @@
 //! Differential property tests for encoded execution: every kernel must
 //! produce results identical on an encoded column (`Column::Dict`,
 //! `Column::Rle`) and on its decoded plain twin. Encodings are only
-//! allowed to change the *cost* of a kernel, never its result.
+//! allowed to change the *cost* of a kernel, never its result. Every
+//! string input also runs as a `category` column (the dictionary flagged
+//! `DType::Categorical`), whose reference is the plain result cast to
+//! `category` wherever the kernel carries its input's dtype through.
 //!
 //! Edge regimes the ISSUE calls out get dedicated deterministic tests:
 //! null-heavy columns, empty columns, single-run columns, and columns
@@ -11,14 +14,14 @@
 //! (not through the ingest heuristics), so the escape hatch only turns
 //! off the auto-detection and fast-path gates, never correctness.
 
-use lafp_columnar::column::{ArithOp, CmpOp};
+use lafp_columnar::column::{ArithOp, CmpOp, StrOp};
 use lafp_columnar::encoding::dict_encode;
 use lafp_columnar::groupby::{group_by, group_by_par};
 use lafp_columnar::join::{merge, merge_par};
 use lafp_columnar::sort::{nlargest, sort_values, sort_values_par};
 use lafp_columnar::spill::{spill_frame, SpillDir};
 use lafp_columnar::{
-    AggKind, Bitmap, Column, DataFrame, GroupBySpec, JoinKind, Scalar, Series, SortOptions,
+    AggKind, Bitmap, Column, DType, DataFrame, GroupBySpec, JoinKind, Scalar, Series, SortOptions,
     WorkerPool,
 };
 use lafp_oracle::equiv::{assert_col_equiv, assert_frame_equiv};
@@ -39,6 +42,43 @@ fn dict_pair(vals: &[String], nulls: &[bool]) -> (Column, Column) {
     );
     let enc = dict_encode(&plain).expect("string column under the cardinality cap");
     (plain, enc)
+}
+
+/// The `category` twin of a plain string column.
+fn cat_of(plain: &Column) -> Column {
+    plain
+        .to_categorical()
+        .expect("string column converts to category")
+}
+
+/// `plain` in `like`'s dtype: the reference result of a kernel that
+/// keeps its input's dtype (a `category` input stays `category`).
+fn as_dtype_of(plain: &Column, like: &Column) -> Column {
+    plain.cast(like.dtype()).unwrap()
+}
+
+/// `f` with its `k` column in `like`'s dtype (the reference for kernels
+/// that carry the key column through).
+fn key_as_dtype_of(f: DataFrame, like: &Column) -> DataFrame {
+    let series = f
+        .series()
+        .iter()
+        .map(|s| match s.name() {
+            "k" => Series::new("k", as_dtype_of(s.column(), like)),
+            _ => s.clone(),
+        })
+        .collect();
+    DataFrame::new(series).unwrap()
+}
+
+/// Dictionary-encode `plain` the way `like` is: flagged `category` or
+/// a transparent string encoding.
+fn encode_like(plain: &Column, like: &Column) -> Column {
+    if like.dtype() == DType::Categorical {
+        cat_of(plain)
+    } else {
+        dict_encode(plain).unwrap()
+    }
 }
 
 /// A plain i64 column plus its run-length-encoded twin. Runs are forced
@@ -102,7 +142,7 @@ fn sort_both(encoded: &Column, plain: &Column, threads: &[usize], what: &str) {
             by: vec!["k".into()],
             ascending: vec![asc],
         };
-        let reference = sort_values(&fp, &options).unwrap();
+        let reference = key_as_dtype_of(sort_values(&fp, &options).unwrap(), encoded);
         for &t in threads {
             let got = if t <= 1 {
                 sort_values(&fe, &options).unwrap()
@@ -115,20 +155,23 @@ fn sort_both(encoded: &Column, plain: &Column, threads: &[usize], what: &str) {
 }
 
 /// Spill the frame and read it back; encoded columns must round-trip
-/// through LAFPSPL1 bit-identically (structural equality on the same
-/// variant checks codes, dictionary, run values, and run ends verbatim).
+/// through LAFPSPL1 bit-identically: equal rows and dtype, and for
+/// dictionary columns the same codes, dictionary and flag verbatim.
 fn spill_round_trip(f: &DataFrame, what: &str) {
     let dir = SpillDir::in_temp();
     let file = spill_frame(&dir, f).unwrap();
     let frames = file.read_all().unwrap();
     assert_eq!(frames.len(), 1, "{what}: one spilled frame");
     for (a, e) in frames[0].series().iter().zip(f.series()) {
-        assert_eq!(
-            a.column(),
-            e.column(),
+        let msg = format!(
             "{what}: column {} must round-trip bit-identically",
             e.name()
         );
+        assert_eq!(a.column(), e.column(), "{msg}");
+        if let (Column::Dict(x, vx), Column::Dict(y, vy)) = (a.column(), e.column()) {
+            assert!(x.codes == y.codes && x.dict == y.dict && vx == vy, "{msg}");
+            assert_eq!(x.category, y.category, "{msg}");
+        }
     }
 }
 
@@ -175,10 +218,37 @@ fn single_run_column_spanning_the_morsel_seam() {
     let svals: Vec<String> = vec!["only".to_string(); N];
     let (plain_s, dict) = dict_pair(&svals, &vec![false; N]);
     let values = Column::from_opt_i64((0..N).map(|i| Some(i as i64 % 11)).collect());
-    groupby_both(&dict, &plain_s, &values, AggKind::Sum, &THREADS, "single-run");
-    groupby_both(&rle, &plain, &values, AggKind::Count, &THREADS, "single-run rle key");
+    let cat = cat_of(&plain_s);
+    groupby_both(
+        &dict,
+        &plain_s,
+        &values,
+        AggKind::Sum,
+        &THREADS,
+        "single-run",
+    );
+    groupby_both(
+        &cat,
+        &plain_s,
+        &values,
+        AggKind::Sum,
+        &THREADS,
+        "single-run cat",
+    );
+    groupby_both(
+        &rle,
+        &plain,
+        &values,
+        AggKind::Count,
+        &THREADS,
+        "single-run rle key",
+    );
     sort_both(&dict, &plain_s, &THREADS, "single-run dict");
-    spill_round_trip(&frame(vec![("k", dict), ("r", rle)]), "single-run");
+    sort_both(&cat, &plain_s, &THREADS, "single-run cat");
+    spill_round_trip(
+        &frame(vec![("k", dict), ("r", rle), ("c", cat)]),
+        "single-run",
+    );
 }
 
 #[test]
@@ -196,17 +266,22 @@ fn null_heavy_columns_match_plain() {
         .collect();
     let (plain_i, rle) = rle_pair(&runs);
 
+    let cat = cat_of(&plain_s);
     assert_col_equiv(&dict.decode(), &plain_s, "null-heavy dict decode");
+    assert_col_equiv(&cat.to_utf8().unwrap(), &plain_s, "null-heavy cat to_utf8");
     assert_col_equiv(&rle.decode(), &plain_i, "null-heavy rle decode");
-    assert_eq!(dict.nunique(), plain_s.nunique());
     assert_eq!(rle.nunique(), plain_i.nunique());
     assert_eq!(rle.sum(), plain_i.sum());
-    assert_eq!(dict.min(), plain_s.min());
-    assert_eq!(dict.max(), plain_s.max());
+    for enc in [&dict, &cat] {
+        assert_eq!(enc.nunique(), plain_s.nunique());
+        assert_eq!(enc.min(), plain_s.min());
+        assert_eq!(enc.max(), plain_s.max());
+    }
 
     // Filter through an encoded predicate, compare frame-level results.
     for (enc, plain, pivot, what) in [
         (&dict, &plain_s, Scalar::Str("tag3".into()), "dict"),
+        (&cat, &plain_s, Scalar::Str("tag3".into()), "cat"),
         (&rle, &plain_i, Scalar::Int(2), "rle"),
     ] {
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
@@ -215,7 +290,7 @@ fn null_heavy_columns_match_plain() {
             assert_eq!(me.count_set(), mp.count_set(), "{what} {op:?} popcount");
             assert_col_equiv(
                 &enc.filter(&me).unwrap().decode(),
-                &plain.filter(&mp).unwrap(),
+                &as_dtype_of(&plain.filter(&mp).unwrap(), enc),
                 &format!("{what} filtered {op:?}"),
             );
         }
@@ -226,11 +301,24 @@ fn null_heavy_columns_match_plain() {
             .map(|i| (i % 9 != 0).then_some(i as i64 % 101))
             .collect(),
     );
-    groupby_both(&dict, &plain_s, &values, AggKind::Sum, &THREADS, "null-heavy");
-    groupby_both(&dict, &plain_s, &values, AggKind::Mean, &THREADS, "null-heavy");
+    for enc in [&dict, &cat] {
+        groupby_both(enc, &plain_s, &values, AggKind::Sum, &THREADS, "null-heavy");
+        groupby_both(
+            enc,
+            &plain_s,
+            &values,
+            AggKind::Mean,
+            &THREADS,
+            "null-heavy",
+        );
+    }
     sort_both(&dict, &plain_s, &THREADS, "null-heavy dict");
+    sort_both(&cat, &plain_s, &THREADS, "null-heavy cat");
     sort_both(&rle, &plain_i, &THREADS, "null-heavy rle");
-    spill_round_trip(&frame(vec![("k", dict), ("r", rle)]), "null-heavy");
+    spill_round_trip(
+        &frame(vec![("k", dict), ("r", rle), ("c", cat)]),
+        "null-heavy",
+    );
 }
 
 #[test]
@@ -246,29 +334,38 @@ fn runs_straddling_the_morsel_seam() {
     let (plain_s, dict) = dict_pair(&svals, &vec![false; N]);
     let values = Column::from_opt_i64((0..N).map(|i| Some((i % 17) as i64)).collect());
 
-    groupby_both(&dict, &plain_s, &values, AggKind::Sum, &THREADS, "seam dict");
-    groupby_both(&dict, &plain_s, &values, AggKind::Min, &THREADS, "seam dict");
+    let cat = cat_of(&plain_s);
+    for enc in [&dict, &cat] {
+        groupby_both(enc, &plain_s, &values, AggKind::Sum, &THREADS, "seam dict");
+        groupby_both(enc, &plain_s, &values, AggKind::Min, &THREADS, "seam dict");
+        sort_both(enc, &plain_s, &THREADS, "seam dict");
+    }
     groupby_both(&rle, &plain, &values, AggKind::Sum, &THREADS, "seam rle key");
-    sort_both(&dict, &plain_s, &THREADS, "seam dict");
 
     // Join on the encoded key at each thread count; plain join is the
     // reference. Both sides dict-encoded shares the code fast path.
     let right_vals: Vec<String> = (0..5).map(|i| format!("g{i}")).collect();
     let (rplain, rdict) = dict_pair(&right_vals, &[false; 5]);
     let payload = Column::from_opt_i64((0..5).map(|i| Some(i * 100)).collect());
-    let le = frame(vec![("k", dict.clone()), ("v", values.clone())]);
     let lp = frame(vec![("k", plain_s.clone()), ("v", values.clone())]);
-    let re = frame(vec![("k", rdict), ("pay", payload.clone())]);
-    let rp = frame(vec![("k", rplain), ("pay", payload)]);
+    let rp = frame(vec![("k", rplain.clone()), ("pay", payload.clone())]);
     let on = vec!["k".to_string()];
-    let reference = merge(&lp, &rp, &on, JoinKind::Inner).unwrap();
-    for t in THREADS {
-        let got = if t <= 1 {
-            merge(&le, &re, &on, JoinKind::Inner).unwrap()
-        } else {
-            merge_par(&le, &re, &on, JoinKind::Inner, &WorkerPool::new(t)).unwrap()
-        };
-        assert_frame_equiv(&got, &reference, &format!("seam join t={t}"));
+    for (lk, rk) in [(&dict, rdict), (&cat, cat_of(&rplain))] {
+        let le = frame(vec![("k", lk.clone()), ("v", values.clone())]);
+        let re = frame(vec![("k", rk), ("pay", payload.clone())]);
+        let reference = key_as_dtype_of(merge(&lp, &rp, &on, JoinKind::Inner).unwrap(), lk);
+        for t in THREADS {
+            let got = if t <= 1 {
+                merge(&le, &re, &on, JoinKind::Inner).unwrap()
+            } else {
+                merge_par(&le, &re, &on, JoinKind::Inner, &WorkerPool::new(t)).unwrap()
+            };
+            assert_frame_equiv(
+                &got,
+                &reference,
+                &format!("seam join {:?} t={t}", lk.dtype()),
+            );
+        }
     }
 
     // Arithmetic over an RLE operand matches plain execution.
@@ -277,13 +374,16 @@ fn runs_straddling_the_morsel_seam() {
     assert_col_equiv(&sum_enc.decode(), &sum_plain, "seam rle arith");
 
     // top-n over a frame carrying encoded columns.
-    let tn_e = nlargest(&le, 37, "v").unwrap();
-    let tn_p = nlargest(&lp, 37, "v").unwrap();
-    for (a, e) in tn_e.series().iter().zip(tn_p.series()) {
-        assert_col_equiv(&a.column().decode(), &e.column().decode(), "seam top-n");
+    for enc in [&dict, &cat] {
+        let le = frame(vec![("k", enc.clone()), ("v", values.clone())]);
+        let tn_e = nlargest(&le, 37, "v").unwrap();
+        let tn_p = key_as_dtype_of(nlargest(&lp, 37, "v").unwrap(), enc);
+        for (a, e) in tn_e.series().iter().zip(tn_p.series()) {
+            assert_col_equiv(&a.column().decode(), &e.column().decode(), "seam top-n");
+        }
     }
 
-    spill_round_trip(&frame(vec![("k", dict), ("r", rle)]), "seam");
+    spill_round_trip(&frame(vec![("k", dict), ("r", rle), ("c", cat)]), "seam");
 }
 
 // ---------------------------------------------------------------------------
@@ -303,29 +403,81 @@ proptest! {
         let n = vals.len().min(nulls.len()).min(ints.len());
         let (plain, dict) = dict_pair(&vals[..n], &nulls[..n]);
         let values = Column::from_opt_i64(ints[..n].iter().map(|&v| Some(v)).collect());
-
         assert_col_equiv(&dict.decode(), &plain, "decode");
-        prop_assert_eq!(dict.nunique(), plain.nunique());
-        prop_assert_eq!(dict.min(), plain.min());
-        prop_assert_eq!(dict.max(), plain.max());
+        let cat = cat_of(&plain);
+        prop_assert_eq!(cat.dtype(), DType::Categorical);
+        assert_col_equiv(&cat.to_utf8().unwrap(), &plain, "to_utf8");
 
-        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
-            let me = dict.compare_scalar(op, &Scalar::Str(pivot.clone())).unwrap();
-            let mp = plain.compare_scalar(op, &Scalar::Str(pivot.clone())).unwrap();
-            prop_assert_eq!(me.count_set(), mp.count_set());
+        for enc in [&dict, &cat] {
+            let want = |c: &Column| as_dtype_of(c, enc);
+            let what = format!("{:?}", enc.dtype());
+            prop_assert_eq!(enc.nunique(), plain.nunique());
+            prop_assert_eq!(enc.min(), plain.min());
+            prop_assert_eq!(enc.max(), plain.max());
+
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+                let me = enc.compare_scalar(op, &Scalar::Str(pivot.clone())).unwrap();
+                let mp = plain.compare_scalar(op, &Scalar::Str(pivot.clone())).unwrap();
+                prop_assert_eq!(me.count_set(), mp.count_set());
+                assert_col_equiv(
+                    &enc.filter(&me).unwrap().decode(),
+                    &want(&plain.filter(&mp).unwrap()),
+                    "filter",
+                );
+            }
+
+            // String accessors answer per dictionary entry; case
+            // transforms return plain strings even for `category`.
+            for op in [
+                StrOp::Lower,
+                StrOp::Upper,
+                StrOp::Len,
+                StrOp::Contains(pivot.clone()),
+                StrOp::StartsWith(pivot.clone()),
+            ] {
+                assert_col_equiv(
+                    &enc.str_op(&op).unwrap(),
+                    &plain.str_op(&op).unwrap(),
+                    &format!("{what} str {op:?}"),
+                );
+            }
+            let fill = Scalar::Str(pivot.clone());
             assert_col_equiv(
-                &dict.filter(&me).unwrap().decode(),
-                &plain.filter(&mp).unwrap(),
-                "filter",
+                &enc.fillna(&fill).unwrap(),
+                &want(&plain.fillna(&fill).unwrap()),
+                &format!("{what} fillna"),
             );
-        }
 
-        if n > 0 {
-            groupby_both(&dict, &plain, &values, AggKind::Sum, &[1], "prop dict");
-            groupby_both(&dict, &plain, &values, AggKind::NUnique, &[1], "prop dict");
-            sort_both(&dict, &plain, &[1], "prop dict");
+            if n > 0 {
+                let third = n / 3;
+                assert_col_equiv(
+                    &enc.slice(third, n - third),
+                    &want(&plain.slice(third, n - third)),
+                    &format!("{what} slice"),
+                );
+                let idx: Vec<usize> = (0..n).rev().step_by(2).collect();
+                assert_col_equiv(
+                    &enc.take(&idx).unwrap(),
+                    &want(&plain.take(&idx).unwrap()),
+                    &format!("{what} take"),
+                );
+                // Per-chunk dictionaries (as partitioned scans build
+                // them) merge on concat instead of re-encoding rows.
+                let chunk = |s: usize, e: usize| encode_like(&plain.slice(s, e - s), enc);
+                let joined = chunk(0, third)
+                    .concat(&chunk(third, 2 * third))
+                    .unwrap()
+                    .concat(&chunk(2 * third, n))
+                    .unwrap();
+                prop_assert!(matches!(joined, Column::Dict(..)), "concat keeps one dictionary");
+                assert_col_equiv(&joined, &want(&plain), &format!("{what} concat"));
+
+                groupby_both(enc, &plain, &values, AggKind::Sum, &[1], "prop dict");
+                groupby_both(enc, &plain, &values, AggKind::NUnique, &[1], "prop dict");
+                sort_both(enc, &plain, &[1], "prop dict");
+            }
         }
-        spill_round_trip(&frame(vec![("k", dict)]), "prop dict");
+        spill_round_trip(&frame(vec![("k", dict), ("c", cat)]), "prop dict");
     }
 
     #[test]
@@ -394,16 +546,28 @@ fn dict_unused_entries_after_filter_match_plain() {
         .map(|s| !matches!(*s, "aa" | "zz" | "qq"))
         .collect();
     let mask = Bitmap::from_bools(&keep);
-    let dict_f = dict.filter(&mask).unwrap();
     let plain_f = plain.filter(&mask).unwrap();
+    for enc in [&dict, &cat_of(&plain)] {
+        unused_entries_match_plain(&enc.filter(&mask).unwrap(), &plain_f);
+    }
+}
+
+/// The checks of [`dict_unused_entries_after_filter_match_plain`] for one
+/// filtered dictionary column (transparent or `category`) against the
+/// plain column filtered with the same mask.
+fn unused_entries_match_plain(dict_f: &Column, plain_f: &Column) {
     // Precondition, or this test guards nothing: the filtered column is
     // still Dict and its dictionary still holds all six categories even
     // though only three remain reachable.
-    match &dict_f {
+    match dict_f {
         Column::Dict(cat, _) => assert!(cat.dict.len() >= 6, "full dictionary kept"),
         other => panic!("filter must preserve Dict encoding, got {:?}", other.dtype()),
     }
-    assert_col_equiv(&dict_f.decode(), &plain_f, "filtered dict decode");
+    assert_col_equiv(
+        &dict_f.decode(),
+        &as_dtype_of(plain_f, dict_f),
+        "filtered dict decode",
+    );
 
     // Scalar reductions: min/max must not report the unused extremes,
     // nunique must not count unused entries.
@@ -425,16 +589,16 @@ fn dict_unused_entries_after_filter_match_plain() {
     for fill in ["qq", "brand-new"] {
         assert_col_equiv(
             &dict_f.fillna(&Scalar::Str(fill.into())).unwrap(),
-            &plain_f.fillna(&Scalar::Str(fill.into())).unwrap(),
+            &as_dtype_of(&plain_f.fillna(&Scalar::Str(fill.into())).unwrap(), dict_f),
             &format!("fillna {fill:?} with unused entries"),
         );
     }
 
     // Sort and groupby-as-key walk per-row codes.
-    sort_both(&dict_f, &plain_f, &THREADS, "filtered dict");
+    sort_both(dict_f, plain_f, &THREADS, "filtered dict");
     let values = Column::from_opt_i64((0..dict_f.len()).map(|i| Some(i as i64 - 3)).collect());
     for agg in [AggKind::Sum, AggKind::Count, AggKind::NUnique] {
-        groupby_both(&dict_f, &plain_f, &values, agg, &THREADS, "filtered dict key");
+        groupby_both(dict_f, plain_f, &values, agg, &THREADS, "filtered dict key");
     }
 
     // Dict as the *value* column: per-group Min/Max/NUnique/Count over
@@ -461,5 +625,5 @@ fn dict_unused_entries_after_filter_match_plain() {
 
     // And the filtered column round-trips through the spill format with
     // its full dictionary intact.
-    spill_round_trip(&frame(vec![("s", dict_f)]), "filtered dict");
+    spill_round_trip(&frame(vec![("s", dict_f.clone())]), "filtered dict");
 }
